@@ -7,8 +7,10 @@ GO ?= go
 # additions outgrew their tests slightly; a 0.1-margin raise would
 # only flap CI) and at PR 10 (77.0% measured exactly: the assembly
 # kernels are invisible to Go coverage while their dispatch wrappers
-# and the cmd/bench kernel rows count as statements).
-COVER_FLOOR ?= 77.0
+# and the cmd/bench kernel rows count as statements). Raised to 77.7
+# at PR 13 (77.71% measured on three runs: the column-index oracle,
+# window-clone and snapshot-isolation tests).
+COVER_FLOOR ?= 77.7
 
 .PHONY: all build test race cover vet doclint bench chaos fuzz
 

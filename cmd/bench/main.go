@@ -34,6 +34,7 @@ import (
 
 	itemsketch "repro"
 	"repro/internal/bitvec"
+	"repro/internal/dataset"
 	"repro/internal/ingest"
 	"repro/internal/rng"
 	"repro/internal/service"
@@ -99,6 +100,10 @@ var gatedPrefixes = []string{
 	// the SIMD dispatch itself — a regression here means the kernel
 	// layer stopped selecting (or stopped winning on) the vector path.
 	"kernel_",
+	// The cold column-index build every snapshot publish, union-sample
+	// mine and Subsample pays (build_column_index_4096x*): gated from
+	// the first baseline that records these rows.
+	"build_column_index_",
 	"sketch_build",
 	"subsample_build",
 	"median_amplifier_build",
@@ -243,6 +248,23 @@ func main() {
 			})
 		}
 		_ = sinkKernel
+	}
+
+	// Cold column-index build at the service's shard shape (4096
+	// sampled rows): the blocked-transpose cost is the same at 8% and
+	// 50% density, and d = 130 covers a three-word row stride with a
+	// d mod 64 tail.
+	for _, c := range []struct {
+		d   int
+		pct int
+	}{{64, 8}, {64, 50}, {130, 8}} {
+		db := dataset.GenUniform(rng.New(uint64(c.d+c.pct)), 4096, c.d, float64(c.pct)/100)
+		record(fmt.Sprintf("build_column_index_4096x%d_p%d", c.d, c.pct), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				db.BuildColumnIndex()
+			}
+		})
 	}
 
 	// Exact frequency query, vertical fused path.

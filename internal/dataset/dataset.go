@@ -15,7 +15,8 @@
 //
 // The vertical layout (BuildColumnIndex) is a second contiguous arena,
 // column-major: attribute a's n-bit row bitmap occupies colStride =
-// ⌈n/64⌉ words. It is invalidated by any mutation.
+// ⌈n/64⌉ words. It is built by a blocked 64×64 bit transpose of the row
+// arena and invalidated by any mutation.
 //
 // # Query paths
 //
@@ -643,18 +644,38 @@ func (db *Database) scanRange(ind []uint64, lo, hi int) int {
 // BuildColumnIndex materializes the vertical layout so subsequent Count
 // calls intersect per-attribute bitmaps instead of scanning rows. The
 // index is one contiguous column-major arena.
+//
+// The build is a blocked 64×64 bit transpose (Hacker's Delight §7-3).
+// Each block of 64 rows × one row word is loaded (rows past n read as
+// zero, so the padding bits of every column's last word are zero),
+// transposed in place in six mask-and-shift stages (transpose64), and
+// stored as the block's column words; the columns past d, which hold
+// the rows' all-zero padding, are dropped. The cost is a fixed
+// ⌈n/64⌉·⌈d/64⌉ block transposes whatever the density, where a
+// per-set-bit scatter grows with the number of ones.
 func (db *Database) BuildColumnIndex() {
 	cs := wordsFor(db.n)
+	s := db.stride
 	db.colStride = cs
 	db.colArena = make([]uint64, db.d*cs)
-	for r := 0; r < db.n; r++ {
-		rowBit := uint64(1) << (uint(r) & 63)
-		rowWord := r >> 6
-		for wi, w := range db.RowWords(r) {
-			for w != 0 {
-				a := wi*wordBits + bits.TrailingZeros64(w)
-				db.colArena[a*cs+rowWord] |= rowBit
-				w &= w - 1
+	var blk [wordBits]uint64
+	for rb := 0; rb < cs; rb++ {
+		r0 := rb * wordBits
+		rows := min(wordBits, db.n-r0)
+		for wi := 0; wi < s; wi++ {
+			if s == 1 {
+				copy(blk[:], db.arena[r0:r0+rows])
+			} else {
+				for j := 0; j < rows; j++ {
+					blk[j] = db.arena[(r0+j)*s+wi]
+				}
+			}
+			clear(blk[rows:])
+			transpose64(&blk)
+			a0 := wi * wordBits
+			col := db.colArena[a0*cs+rb:]
+			for k := range min(wordBits, db.d-a0) {
+				col[k*cs] = blk[k]
 			}
 		}
 	}
@@ -662,6 +683,74 @@ func (db *Database) BuildColumnIndex() {
 	for a := 0; a < db.d; a++ {
 		db.cols[a] = bitvec.Wrap(db.n, db.colArena[a*cs:(a+1)*cs:(a+1)*cs])
 	}
+}
+
+// transpose64 transposes a 64×64 bit matrix in place: bit c of word r
+// moves to bit r of word c. Stage j (j = 32, 16, …, 1) swaps the
+// off-diagonal j×j sub-blocks of every 2j×2j block: the high j bits of
+// each 2j-bit group of word k trade places with the low j bits of word
+// k+j, one mask-and-shift per word pair. Stages 32, 16 and 8 pair words
+// that lie a multiple of 8 apart, and stages 4, 2 and 1 pair words
+// inside one aligned run of 8, so the six stages run as two passes of
+// eight 8-word groups, each group held in registers through its three
+// stages.
+func transpose64(x *[wordBits]uint64) {
+	for k := 0; k < 8; k++ {
+		transposeHi(x, k)
+	}
+	for g := 0; g < wordBits; g += 8 {
+		transposeLo(x, g)
+	}
+}
+
+// deltaSwap exchanges the bits of a selected by m<<j with the bits of
+// b selected by m.
+func deltaSwap(a, b uint64, j uint, m uint64) (uint64, uint64) {
+	t := (a>>j ^ b) & m
+	return a ^ t<<j, b ^ t
+}
+
+// transposeHi runs stages 32, 16 and 8 on the words k, k+8, …, k+56.
+func transposeHi(x *[wordBits]uint64, k int) {
+	k &= 7
+	w0, w1, w2, w3 := x[k], x[k+8], x[k+16], x[k+24]
+	w4, w5, w6, w7 := x[k+32], x[k+40], x[k+48], x[k+56]
+	const m32, m16, m8 = 0x00000000FFFFFFFF, 0x0000FFFF0000FFFF, 0x00FF00FF00FF00FF
+	w0, w4 = deltaSwap(w0, w4, 32, m32)
+	w1, w5 = deltaSwap(w1, w5, 32, m32)
+	w2, w6 = deltaSwap(w2, w6, 32, m32)
+	w3, w7 = deltaSwap(w3, w7, 32, m32)
+	w0, w2 = deltaSwap(w0, w2, 16, m16)
+	w1, w3 = deltaSwap(w1, w3, 16, m16)
+	w4, w6 = deltaSwap(w4, w6, 16, m16)
+	w5, w7 = deltaSwap(w5, w7, 16, m16)
+	w0, w1 = deltaSwap(w0, w1, 8, m8)
+	w2, w3 = deltaSwap(w2, w3, 8, m8)
+	w4, w5 = deltaSwap(w4, w5, 8, m8)
+	w6, w7 = deltaSwap(w6, w7, 8, m8)
+	x[k], x[k+8], x[k+16], x[k+24] = w0, w1, w2, w3
+	x[k+32], x[k+40], x[k+48], x[k+56] = w4, w5, w6, w7
+}
+
+// transposeLo runs stages 4, 2 and 1 on the words g, g+1, …, g+7
+// (g a multiple of 8).
+func transposeLo(x *[wordBits]uint64, g int) {
+	o := (*[8]uint64)(x[g&56 : g&56+8])
+	w0, w1, w2, w3, w4, w5, w6, w7 := o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]
+	const m4, m2, m1 = 0x0F0F0F0F0F0F0F0F, 0x3333333333333333, 0x5555555555555555
+	w0, w4 = deltaSwap(w0, w4, 4, m4)
+	w1, w5 = deltaSwap(w1, w5, 4, m4)
+	w2, w6 = deltaSwap(w2, w6, 4, m4)
+	w3, w7 = deltaSwap(w3, w7, 4, m4)
+	w0, w2 = deltaSwap(w0, w2, 2, m2)
+	w1, w3 = deltaSwap(w1, w3, 2, m2)
+	w4, w6 = deltaSwap(w4, w6, 2, m2)
+	w5, w7 = deltaSwap(w5, w7, 2, m2)
+	w0, w1 = deltaSwap(w0, w1, 1, m1)
+	w2, w3 = deltaSwap(w2, w3, 1, m1)
+	w4, w5 = deltaSwap(w4, w5, 1, m1)
+	w6, w7 = deltaSwap(w6, w7, 1, m1)
+	o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = w0, w1, w2, w3, w4, w5, w6, w7
 }
 
 // HasColumnIndex reports whether the vertical layout is materialized.

@@ -160,19 +160,23 @@ func TestCountManyMatchesCount(t *testing.T) {
 	}
 }
 
-// FuzzCountPaths fuzzes database shape and contents, asserting path
-// agreement on a handful of derived itemsets.
+// FuzzCountPaths fuzzes database shape, density and contents,
+// asserting path agreement on a handful of derived itemsets and a
+// word-for-word match of the column arena against the scatter oracle.
+// The density is pct/255, so both the empty and the full database are
+// reachable.
 func FuzzCountPaths(f *testing.F) {
-	f.Add(uint64(1), 10, 10)
-	f.Add(uint64(2), 0, 65)
-	f.Add(uint64(3), 100, 63)
-	f.Add(uint64(4), 7, 129)
-	f.Fuzz(func(t *testing.T, seed uint64, n, d int) {
+	f.Add(uint64(1), 10, 10, uint8(64))
+	f.Add(uint64(2), 0, 65, uint8(64))
+	f.Add(uint64(3), 100, 63, uint8(64))
+	f.Add(uint64(4), 7, 129, uint8(64))
+	f.Add(uint64(5), 65, 130, uint8(255))
+	f.Fuzz(func(t *testing.T, seed uint64, n, d int, pct uint8) {
 		if n < 0 || n > 300 || d < 1 || d > 200 {
 			t.Skip()
 		}
 		r := rng.New(seed)
-		db := GenUniform(r, n, d, 0.25)
+		db := GenUniform(r, n, d, float64(pct)/255)
 		var ts []Itemset
 		ts = append(ts, MustItemset())
 		for q := 0; q < 6; q++ {
@@ -187,7 +191,7 @@ func FuzzCountPaths(f *testing.F) {
 				t.Fatalf("scan %v = %d, want %d", T, got, want[i])
 			}
 		}
-		db.BuildColumnIndex()
+		checkColumnArena(t, db)
 		for i, T := range ts {
 			if got := db.Count(T); got != want[i] {
 				t.Fatalf("vertical %v = %d, want %d", T, got, want[i])

@@ -52,12 +52,13 @@ type ingestReq struct {
 }
 
 // snapshot is the immutable query view of a shard: a frozen reservoir
-// clone (for read-side merging), its column-indexed sample database
+// clone (for read-side merging) and its sample database, column-indexed
 // behind a concurrency-safe Querier, the rows-seen weight, and the
-// frozen heavy-hitter summary.
+// frozen heavy-hitter and window summaries. res and db share one sample
+// arena: db is res's own sample, never a second copy.
 type snapshot struct {
 	res  *stream.Reservoir
-	db   *dataset.Database
+	db   *dataset.Database // == res.Sample()
 	q    query.Querier
 	seen int64
 	mg   *stream.MisraGries
@@ -223,7 +224,20 @@ func (sh *Shard) ingest(ctx context.Context, rows [][]int) error {
 }
 
 // publishSnapshot / publishSnapshotLocked freeze the current reservoir
-// and heavy-hitter state into a new immutable snapshot.
+// and heavy-hitter state into a new immutable snapshot. A batch is
+// visible to queries once its Ingest returns, since the worker publishes
+// before it reports the batch done.
+//
+// What one publish copies and what it shares:
+//   - the reservoir sample is copied once (Reservoir.Clone), and that
+//     copy is both the snapshot's frozen reservoir and its query
+//     database; the column index is built on it here, before the
+//     snapshot is stored, so nothing writes it after publication.
+//     stream.Merge, rehome and /v1/replicate only read it;
+//   - the Misra–Gries summary, the count sketch and the decayed summary
+//     are cloned whole;
+//   - the windowed reservoir's Clone copies only its open bucket and
+//     shares the sealed ones, which no writer touches again.
 func (sh *Shard) publishSnapshot() {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -232,7 +246,7 @@ func (sh *Shard) publishSnapshot() {
 
 func (sh *Shard) publishSnapshotLocked() {
 	frozen := sh.res.Clone()
-	db := frozen.Database()
+	db := frozen.Sample()
 	db.BuildColumnIndex()
 	var mg *stream.MisraGries
 	if sh.mg != nil {

@@ -176,6 +176,14 @@ func (r *Reservoir) Database() *dataset.Database {
 	return r.sample.Clone()
 }
 
+// Sample returns the reservoir's own sample database, without a copy.
+// The caller must not mutate it, and it changes under any later Add or
+// AddAttrs; the service calls it only on a frozen Clone, whose sample
+// then serves as both the snapshot's reservoir and its query database.
+func (r *Reservoir) Sample() *dataset.Database {
+	return r.sample
+}
+
 // Estimate returns the sample frequency of T, the Definition 8
 // recovery procedure.
 func (r *Reservoir) Estimate(t dataset.Itemset) float64 {

@@ -211,14 +211,19 @@ func (w *WindowedReservoir) WindowSeen() int64 {
 	return total
 }
 
-// Clone returns an independent deep copy, the freeze half of the
-// service's clone-and-publish snapshot discipline.
+// Clone returns a copy that evolves independently of w, the freeze
+// half of the service's clone-and-publish snapshot discipline. Only the
+// open (newest) bucket is deep-copied; the sealed buckets are shared by
+// pointer. That is safe because nothing writes a sealed bucket: AddAttrs
+// touches only the newest bucket, rotation opens a fresh one and drops
+// the oldest from this window's own ring, and MergeWindowed reads its
+// inputs and clones the buckets it keeps. A clone copies its ring, so
+// rotating either window never moves the other's buckets.
 func (w *WindowedReservoir) Clone() *WindowedReservoir {
 	c := *w
-	c.ring = make([]*Reservoir, len(w.ring))
-	for i, b := range w.ring {
-		c.ring[i] = b.Clone()
-	}
+	c.ring = append([]*Reservoir(nil), w.ring...)
+	last := len(c.ring) - 1
+	c.ring[last] = c.ring[last].Clone()
 	return &c
 }
 

@@ -3,6 +3,8 @@ package stream
 import (
 	"errors"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -533,5 +535,129 @@ func TestDecayedCorruptRejects(t *testing.T) {
 		if _, err := core.UnmarshalSketch(bitvec.NewReader(buf, len(buf)*8)); err == nil {
 			t.Errorf("%s: decode accepted an impossible summary", c.name)
 		}
+	}
+}
+
+// windowBytes is the window's full wire encoding, for comparing states.
+func windowBytes(w *WindowedReservoir) string {
+	var bw bitvec.Writer
+	w.MarshalBits(&bw)
+	return string(bw.Bytes())
+}
+
+// windowEstimates answers a fixed battery of itemsets on w.
+func windowEstimates(w *WindowedReservoir) []float64 {
+	var out []float64
+	for a := 0; a < w.NumAttrs(); a++ {
+		out = append(out, w.Estimate(dataset.MustItemset(a)))
+		out = append(out, w.Estimate(dataset.MustItemset(a, (a+1)%w.NumAttrs())))
+	}
+	return out
+}
+
+// TestWindowedCloneSharesSealedBuckets pins the sharing Clone: the
+// sealed buckets are the original's own, only the open bucket is
+// copied, and driving either window through more than Buckets
+// rotations leaves the other's bytes and estimates unchanged.
+func TestWindowedCloneSharesSealedBuckets(t *testing.T) {
+	newFed := func() *WindowedReservoir {
+		w, err := NewWindowedReservoir(6, 60, 4, 8, 11, testWindowParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 47; i++ { // 3 rotations: a full 4-bucket chain, the open bucket 2 rows in
+			w.AddAttrs(i%6, (i*5+1)%6)
+		}
+		return w
+	}
+	drive := func(w *WindowedReservoir, rows int) {
+		for i := 0; i < rows; i++ {
+			w.AddAttrs((i*7)%6, (i+3)%6)
+		}
+	}
+	rotations := 2*4 + 1 // more than Buckets rotations: every shared bucket leaves the driven chain
+
+	orig := newFed()
+	c := orig.Clone()
+	last := len(orig.ring) - 1
+	if len(c.ring) != len(orig.ring) || last < 1 {
+		t.Fatalf("clone has %d buckets, original %d", len(c.ring), len(orig.ring))
+	}
+	for i := 0; i < last; i++ {
+		if c.ring[i] != orig.ring[i] {
+			t.Fatalf("sealed bucket %d was copied, want it shared", i)
+		}
+	}
+	if c.ring[last] == orig.ring[last] {
+		t.Fatal("open bucket is shared, want it copied")
+	}
+
+	wantBytes, wantEst := windowBytes(c), windowEstimates(c)
+	drive(orig, rotations*orig.BucketRows())
+	if windowBytes(c) != wantBytes {
+		t.Fatal("driving the original changed the clone's encoding")
+	}
+	if got := windowEstimates(c); !slices.Equal(got, wantEst) {
+		t.Fatalf("driving the original changed the clone's estimates: %v, want %v", got, wantEst)
+	}
+
+	orig = newFed()
+	c = orig.Clone()
+	wantBytes, wantEst = windowBytes(orig), windowEstimates(orig)
+	drive(c, rotations*c.BucketRows())
+	if windowBytes(orig) != wantBytes {
+		t.Fatal("driving the clone changed the original's encoding")
+	}
+	if got := windowEstimates(orig); !slices.Equal(got, wantEst) {
+		t.Fatalf("driving the clone changed the original's estimates: %v, want %v", got, wantEst)
+	}
+
+	// A clone evolves exactly like its original would have.
+	twin := newFed()
+	c = twin.Clone()
+	drive(twin, 100)
+	drive(c, 100)
+	if windowBytes(c) != windowBytes(twin) {
+		t.Fatal("clone and original diverged on the same rows")
+	}
+}
+
+// TestWindowedCloneConcurrentReaders reads a clone from several
+// goroutines while the original keeps ingesting through rotations: run
+// under -race, it proves the shared sealed buckets are never written.
+func TestWindowedCloneConcurrentReaders(t *testing.T) {
+	w, err := NewWindowedReservoir(6, 60, 4, 8, 13, testWindowParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		w.AddAttrs(i%6, (i+1)%6)
+	}
+	c := w.Clone()
+	want, wantBytes := windowEstimates(c), windowBytes(c)
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if !slices.Equal(windowEstimates(c), want) || windowBytes(c) != wantBytes {
+					errs <- "clone changed under concurrent ingest"
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 600; i++ {
+		w.AddAttrs((i*3)%6, (i+4)%6)
+		if i%20 == 0 {
+			w = w.Clone() // the service's publish cadence: clones of clones
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }
